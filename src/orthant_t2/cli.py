@@ -7,7 +7,8 @@ default or JSON with --format json; JSON serializes floats with 17 significant
 digits so identical invocations are byte-identical, text uses 4 significant
 digits (2 decimals in tables, matching the published layout).
 
-Exit codes: 0 success, 1 verification failure, 2 usage or domain error.
+Exit codes: 0 success, 1 verification failure, 2 usage or domain error,
+3 numerical failure (an ArithmeticError such as an overflow in the kernel).
 """
 
 from __future__ import annotations
@@ -283,7 +284,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_qbound)
 
     p = sub.add_parser("critval", help="critical-value chain x_delta < x_(delta/c) < z_delta")
-    p.add_argument("--d", type=float, required=True, help="dimension d > 0")
+    p.add_argument("--d", type=float, required=True, help="dimension d >= 1")
     p.add_argument("--delta", type=float, required=True, help="level, 0 < delta <= 0.5")
     add_format(p)
     p.set_defaults(func=_cmd_critval)
@@ -317,6 +318,9 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:
+        print(f"error: numerical failure: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

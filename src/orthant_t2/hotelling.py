@@ -5,9 +5,13 @@ nu = (1, ..., 1)^T and P the orthogonal projector onto the column span of X,
 
     n R^2 = nu^T P nu,      T^2 = R^2 / (1 - R^2)   (infinite iff R^2 = 1).
 
-P is built from a spectral decomposition of the smaller Gram matrix with a
-relative rank cutoff, which realizes the Moore-Penrose pseudoinverse and makes
-P unique, symmetric and idempotent. The regularized definitions
+Both come from one thin SVD U diag(s) V^T of the column-equilibrated sample
+X_e (each column scaled to max |entry| = 1, all-zero columns dropped), so no
+entry over- or underflows and rescaling a column moves the answer only by
+rounding. Singular values at or below max(n, d) * eps * s_max count as zero,
+the rule of np.linalg.matrix_rank. Then n R^2 = |diag(s)^-1 V^T X_e^T nu|^2,
+a length-rank vector computed from the column sums, and P = U U^T is formed
+only where a caller needs it. The regularized definitions
 
     T2_eps = xbar (C + eps I)^-1 xbar^T,   R2_eps = xbar (S + eps I)^-1 xbar^T
 
@@ -48,49 +52,37 @@ def as_sample_matrix(X) -> np.ndarray:
     return arr
 
 
-def projector(X) -> tuple[np.ndarray, int]:
-    """Orthogonal projector onto the column span of X, with its rank.
-
-    Eigenvalues of the smaller Gram matrix below max(n, d) * eps * lambda_max
-    are treated as zero.
-    """
-    X = as_sample_matrix(X)
+def _thin_svd(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(U, s, V^T) of the column-equilibrated X cut to its rank, and X_e^T nu."""
     n, d = X.shape
-    if d <= n:
-        gram = X.T @ X
-    else:
-        gram = X @ X.T
-    w, v = np.linalg.eigh(gram)
-    wmax = float(w[-1]) if w.size else 0.0
-    if wmax <= 0.0:
-        return np.zeros((n, n)), 0
-    tol = max(n, d) * np.finfo(float).eps * wmax
-    keep = w > tol
-    rank = int(np.count_nonzero(keep))
-    if rank == 0:
-        return np.zeros((n, n)), 0
-    if d <= n:
-        basis = X @ (v[:, keep] / np.sqrt(w[keep]))
-    else:
-        basis = v[:, keep]
-    P = basis @ basis.T
-    return 0.5 * (P + P.T), rank
+    peak = np.max(np.abs(X), axis=0)
+    nonzero = peak > 0.0
+    Xe = X[:, nonzero] / peak[nonzero]
+    U, s, Vt = np.linalg.svd(Xe, full_matrices=False)
+    keep = s > max(n, d) * np.finfo(float).eps * s.max(initial=0.0)
+    return U[:, keep], s[keep], Vt[keep], Xe.sum(axis=0)
+
+
+def projector(X) -> tuple[np.ndarray, int]:
+    """Orthogonal projector onto the column span of X, with its rank (n x n)."""
+    U, s, _, _ = _thin_svd(as_sample_matrix(X))
+    return U @ U.T, s.size
 
 
 def r_squared(X) -> ProjectionSummary:
-    """R^2, T^2 and the rank via the projector formulation."""
+    """R^2, T^2 and the rank from the thin SVD, without forming P."""
     X = as_sample_matrix(X)
     n = X.shape[0]
-    P, rank = projector(X)
-    nu = np.ones(n)
-    nu_proj = float(nu @ P @ nu)
-    r2 = min(max(nu_proj / n, 0.0), 1.0)
+    _, s, Vt, colsum = _thin_svd(X)
+    coef = (Vt @ colsum) / s
+    nu_proj = float(coef @ coef)
+    r2 = min(nu_proj / n, 1.0)
     if r2 >= 1.0 - _R2_ONE_TOL:
         r2 = 1.0
         t2 = math.inf
     else:
         t2 = r2 / (1.0 - r2)
-    return ProjectionSummary(rank=rank, r_squared=r2, t_squared=t2, nu_projection=nu_proj)
+    return ProjectionSummary(rank=s.size, r_squared=r2, t_squared=t2, nu_projection=nu_proj)
 
 
 def r_squared_signed(X, signs) -> float:

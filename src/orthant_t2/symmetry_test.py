@@ -7,13 +7,13 @@ quantile and c = 2e^3/9, the guaranteed critical value sits inside the chain
 
     x_d(delta) < x_d(delta/c) < z_delta = x_d(delta) + log(c) / (x_d(delta) - (d-1)/x_d(delta)),
 
-valid whenever delta <= 0.5 (which forces x_d(delta) > sqrt(d-1)).
+valid whenever d >= 1 and delta <= 0.5 (which force x_d(delta) > sqrt(d-1)).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import chi_kernel as ck
 from . import hotelling
@@ -68,17 +68,17 @@ def p_value_bound(d: float, n: int, r2: float) -> TestReport:
 
 
 def critical_chain(d: float, delta: float) -> QuantileTriple:
-    """Quantile chain x_delta < x_(delta/c) < z_delta for delta <= 0.5."""
+    """Quantile chain x_delta < x_(delta/c) < z_delta for d >= 1 and delta <= 0.5."""
     d = float(d)
-    if d <= 0.0:
-        raise DomainError(f"dimension must be positive, got {d!r}")
+    if not d >= 1.0:
+        raise DomainError(f"dimension must satisfy d >= 1, got {d!r}")
     delta = float(delta)
     if not 0.0 < delta <= 0.5:
         raise DomainError(f"level must satisfy 0 < delta <= 0.5, got {delta!r}")
     x = ck.quantile(d, delta)
     xc = ck.quantile(d, delta / SHARP_CONSTANT)
     denom = x - (d - 1.0) / x
-    if not (x > math.sqrt(max(d - 1.0, 0.0)) and denom > 0.0):
+    if not (x > math.sqrt(d - 1.0) and denom > 0.0):
         raise ArithmeticError(f"quantile x_delta = {x!r} did not clear sqrt(d-1) at d={d!r}")
     z = x + math.log(SHARP_CONSTANT) / denom
     if not x < xc < z:
@@ -92,25 +92,15 @@ def conservativeness_table(delta: float, dims: list[float]) -> list[QuantileTrip
 
 
 def run_test(X, dim: float | None = None) -> TestReport:
-    """Full pipeline: projector, R^2, then both p-value bounds.
+    """Full pipeline: thin SVD, R^2, then both p-value bounds.
 
     Bounds use the declared dimension (default: the number of columns); the
-    numerically observed projector rank is reported alongside so callers can
-    flag disagreement.
+    numerically observed rank of the thin SVD is reported alongside so
+    callers can flag disagreement.
     """
     X = hotelling.as_sample_matrix(X)
     n, d_cols = X.shape
     d = float(dim) if dim is not None else float(d_cols)
     summary = hotelling.r_squared(X)
     base = p_value_bound(d, n, summary.r_squared)
-    return TestReport(
-        d=base.d,
-        n=base.n,
-        statistic_u=base.statistic_u,
-        p_upper_Q=base.p_upper_Q,
-        p_upper_eaton=base.p_upper_eaton,
-        chi_p=base.chi_p,
-        rank=summary.rank,
-        r_squared=summary.r_squared,
-        t_squared=summary.t_squared,
-    )
+    return replace(base, rank=summary.rank, r_squared=summary.r_squared, t_squared=summary.t_squared)

@@ -52,6 +52,16 @@ class TestQBound:
         assert code == 2
         assert "positive" in err
 
+    def test_numerical_failure_exit_3(self, capsys, monkeypatch):
+        def overflow(r, u):
+            raise OverflowError("math range error")
+
+        monkeypatch.setattr("orthant_t2.cli.q_bound", overflow)
+        code, out, err = run_cli(capsys, "qbound", "--r", "400", "--u", "25")
+        assert code == 3
+        assert out == ""
+        assert err == "error: numerical failure: math range error\n"
+
     def test_text_format(self, capsys):
         code, out, _ = run_cli(capsys, "qbound", "--r", "5", "--u", "1")
         assert code == 0
@@ -77,6 +87,11 @@ class TestCritval:
         code, _, err = run_cli(capsys, "critval", "--d", "2", "--delta", "0.6")
         assert code == 2
         assert "0.5" in err
+
+    def test_dimension_below_one_rejected(self, capsys):
+        code, _, err = run_cli(capsys, "critval", "--d", "0.5", "--delta", "0.5")
+        assert code == 2
+        assert err.count("\n") == 1 and "d >= 1" in err
 
 
 class TestTable:

@@ -1,10 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orthant_t2 import hotelling as ht
 from orthant_t2.errors import DomainError
+from orthant_t2.symmetry_test import run_test
 
 
 class TestProjector:
@@ -154,3 +158,70 @@ class TestRegularized:
         for bad in (0.0, -1e-3):
             with pytest.raises(DomainError):
                 ht.regularized(np.eye(2), bad)
+
+
+def _equilibrated_reference(X):
+    """(R^2, rank) from lstsq and matrix_rank on X with columns scaled to max |entry| = 1."""
+    peak = np.max(np.abs(X), axis=0)
+    peak[peak == 0.0] = 1.0
+    Xe = X / peak
+    beta, *_ = np.linalg.lstsq(Xe, np.ones(X.shape[0]), rcond=None)
+    fit = Xe @ beta
+    return float(fit @ fit) / X.shape[0], int(np.linalg.matrix_rank(Xe))
+
+
+def _tiny_column_sample():
+    Z = np.random.default_rng(21).standard_normal((500, 4))
+    Z[:, 3] += 1.5
+    return Z * np.array([1.0, 1.0, 1.0, 1e-7])
+
+
+def _spread_square_sample():
+    rng = np.random.default_rng(8)
+    return rng.standard_normal((20, 20)) * 10.0 ** rng.uniform(-2.0, 2.0, 20)
+
+
+_THREE_BY_TWO = np.array([[1.0, 2.0], [3.0, -1.0], [5.0, 1.0]])
+
+
+class TestScaleSafety:
+    @pytest.mark.parametrize(
+        "X",
+        [
+            _tiny_column_sample(),
+            _THREE_BY_TWO * 1e200,
+            _THREE_BY_TWO * 1e-200,
+            np.random.default_rng(22).standard_normal((50, 3)) * 1e200,
+            _spread_square_sample(),
+        ],
+        ids=["500x4-column-1e-7", "3x2-times-1e200", "3x2-times-1e-200", "50x3-near-1e200", "20x20-scales-1e4"],
+    )
+    def test_matches_equilibrated_lstsq(self, X):
+        r2_ref, rank_ref = _equilibrated_reference(X)
+        s = ht.r_squared(X)
+        assert s.rank == rank_ref
+        assert abs(s.r_squared - r2_ref) <= 1e-10
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(1, 30),
+        d=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+        exponents=st.lists(st.integers(-200, 200), min_size=8, max_size=8),
+    )
+    def test_column_rescaling_invariance(self, n, d, seed, exponents):
+        X = np.random.default_rng(seed).standard_normal((n, d))
+        base = ht.r_squared(X)
+        scaled = ht.r_squared(X * 10.0 ** np.array(exponents[:d], dtype=float))
+        assert scaled.rank == base.rank
+        assert abs(scaled.r_squared - base.r_squared) <= 1e-12
+
+    def test_run_test_memory_is_linear_in_n(self):
+        X = np.random.default_rng(23).standard_normal((200_000, 3))
+        tracemalloc.start()
+        try:
+            run_test(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40e6

@@ -86,6 +86,8 @@ class TestCriticalChain:
             critical_chain(2.0, 0.6)
         with pytest.raises(DomainError):
             critical_chain(2.0, 0.0)
+        with pytest.raises(DomainError):
+            critical_chain(0.5, 0.5)
 
     def test_gap_shrinks_as_level_drops(self):
         for d in (1.0, 5.0):
